@@ -321,5 +321,32 @@ mod tests {
         let a = e.estimate_spgemm(shape, 0.6, 0.7).time_us();
         let b = e.estimate_spgemm(shape, 0.6, 0.7).time_us();
         assert_eq!(a, b);
+        // Exact bits of the whole estimate: any change to the modelled-time
+        // path that moves a value fails here.
+        let est = e.estimate_spgemm(shape, 0.6, 0.7);
+        assert_eq!(est.name, "bitmap-spgemm-synthetic-512x512x512");
+        assert_eq!(est.bottleneck, dsstc_sim::stats::Bottleneck::TensorCore);
+        let bits = [
+            est.tensor_cycles,
+            est.scalar_cycles,
+            est.dram_cycles,
+            est.shared_cycles,
+            est.merge_cycles,
+            est.total_cycles,
+            est.total_us,
+        ]
+        .map(f64::to_bits);
+        assert_eq!(
+            bits,
+            [
+                0x409204cccccccccd,
+                0x404999999999999a,
+                0x40a3ac374bc6a7ef,
+                0x4045204ccccccccd,
+                0x40823c7333333333,
+                0x40cc800000000000,
+                0x4023131313131313,
+            ]
+        );
     }
 }

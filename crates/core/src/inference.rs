@@ -302,8 +302,19 @@ mod tests {
 
     #[test]
     fn full_model_reports_for_all_networks() {
+        // Exact bits of each network's full-model speedups: any change to
+        // the modelled-time path that moves a value fails here.
+        const PINNED: [(&str, u64, u64); 5] = [
+            ("VGG-16", 0x40094b6cef5c7b82, 0x3ff112925a3a761d),
+            ("ResNet-18", 0x4005565096d0aa98, 0x3ff462f462c9ceef),
+            ("Mask R-CNN", 0x4004072db65f8adb, 0x3fedd79580b33c4e),
+            ("BERT-base encoder", 0x40051afb4164c3d3, 0x3ffea671ad0794aa),
+            ("RNN", 0x4005d6af59b103ba, 0x3fff9389f806614c),
+        ];
         let est = estimator();
-        for net in networks::all_networks() {
+        let nets = networks::all_networks();
+        assert_eq!(nets.len(), PINNED.len());
+        for (net, (name, dual_bits, single_bits)) in nets.into_iter().zip(PINNED) {
             let report = est.estimate_network(&net);
             assert_eq!(report.layers.len(), net.layers().len());
             assert!(
@@ -319,6 +330,9 @@ mod tests {
             );
             let table = report.render_table();
             assert!(table.contains(net.name()));
+            assert_eq!(net.name(), name);
+            assert_eq!(report.full_model_dual_speedup.to_bits(), dual_bits, "{name} dual");
+            assert_eq!(report.full_model_single_speedup.to_bits(), single_bits, "{name} single");
         }
     }
 

@@ -223,6 +223,15 @@ mod tests {
             let _ = timing.batched_us(&m, batch);
         }
         assert_eq!(timing.miss_count(), 4, "warmed buckets absorb all traffic");
+        // Exact bits of BERT's bucket prices on both device presets: any
+        // change to the modelled-time path that moves a value fails here.
+        let v100 = [0x4056197626a204c0, 0x4056f7a3e9112c28, 0x405b10254ce13b19, 0x4062c4c3488a3662];
+        let a100 = [0x405595bebe4951d4, 0x40559351b3bea368, 0x4056e026f3c8a466, 0x405da9f11ca27cae];
+        for (gpu, pinned) in [(GpuConfig::v100(), v100), (GpuConfig::a100(), a100)] {
+            let priced = BatchTimingModel::new(gpu);
+            let bits = [1, 2, 4, 8].map(|bucket| priced.batched_us(&m, bucket).to_bits());
+            assert_eq!(bits, pinned);
+        }
     }
 
     #[test]
