@@ -385,9 +385,16 @@ impl BitmapSpGemm {
     /// Per-tile, per-step non-zero counts are drawn from the binomial
     /// distribution implied by the operand sparsities (non-zeros placed
     /// uniformly at random), which is the distribution the materialised path
-    /// produces for [`dsstc_tensor::SparsityPattern::Uniform`] data. A
-    /// 33x33 lookup table of step costs keeps the warp-tile sweep cheap even
-    /// for 4096-cubed problems.
+    /// produces for [`dsstc_tensor::SparsityPattern::Uniform`] data.
+    ///
+    /// The step costs are then summed through per-step histograms rather
+    /// than tile by tile: every additive event count of a k-slice is
+    /// `sum over steps s, counts a, b of hA[s][a] * hB[s][b] * cost(a, b)`,
+    /// where `hA[s]` / `hB[s]` histogram the step-`s` counts of the slice's
+    /// live A and B tiles. Beyond one histogram increment per sampled step,
+    /// the sweep costs `O(grid_k * warp_k * (warp_dim + 1)^2)` instead of
+    /// the per-tile `O(grid_m * grid_n * grid_k * warp_k)`, and it gives
+    /// the same integers as the per-tile sum.
     pub fn profile_synthetic(&self, spec: &SyntheticGemmSpec) -> (WorkloadProfile, SpGemmStats) {
         self.profile_synthetic_capped(spec, usize::MAX)
     }
@@ -398,10 +405,14 @@ impl BitmapSpGemm {
     /// exact).
     ///
     /// The per-tile non-zero counts are i.i.d. across tile rows, so the
-    /// scaled profile converges on the exact one while costing
-    /// `O(max_m_tiles)` instead of `O(M / warp_m)` — this is what lets a
-    /// serving layer price large batched GEMMs per batch size at request
-    /// rate.
+    /// scaled profile converges on the exact one. Sampling costs one draw
+    /// per step of each of the `min(max_m_tiles, M / warp_m) * grid_k` A
+    /// tiles and `grid_k * grid_n` B tiles, and the histogram sweep does not
+    /// grow with the number of tile rows; this is what lets a serving layer
+    /// price large batched GEMMs per batch size at request rate.
+    ///
+    /// With the operand collector disabled, bank conflicts are rounded per
+    /// warp tile and so are still summed tile by tile.
     ///
     /// # Panics
     /// Panics if `max_m_tiles` is zero.
@@ -410,106 +421,50 @@ impl BitmapSpGemm {
         spec: &SyntheticGemmSpec,
         max_m_tiles: usize,
     ) -> (WorkloadProfile, SpGemmStats) {
+        self.profile_sampled(spec, max_m_tiles, SampledTiles::tally)
+    }
+
+    /// [`Self::profile_synthetic_capped`] with the step costs summed tile by
+    /// tile: the reference the histogram sweep is tested against.
+    #[cfg(test)]
+    fn profile_synthetic_per_tile(
+        &self,
+        spec: &SyntheticGemmSpec,
+        max_m_tiles: usize,
+    ) -> (WorkloadProfile, SpGemmStats) {
+        self.profile_sampled(spec, max_m_tiles, SampledTiles::tally_per_tile)
+    }
+
+    /// Samples the tile counts of `spec`, sums their step costs with
+    /// `tally`, scales the sums to the full M grid and adds the analytic
+    /// memory side.
+    fn profile_sampled(
+        &self,
+        spec: &SyntheticGemmSpec,
+        max_m_tiles: usize,
+        tally: fn(&SampledTiles, &StepPricing) -> ComputeTally,
+    ) -> (WorkloadProfile, SpGemmStats) {
         assert!(max_m_tiles > 0, "at least one M tile row must be sampled");
         let shape = spec.shape;
-        let (wm, wn, wk) = (self.tiling.warp_m, self.tiling.warp_n, self.tiling.warp_k);
-        let full_grid_m = shape.m.div_ceil(wm);
-        let grid_m = full_grid_m.min(max_m_tiles);
-        let grid_n = shape.n.div_ceil(wn);
-        let grid_k = shape.k.div_ceil(wk);
-        let otc = &self.config.otc;
-        let warp_dim = wm.max(wn);
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-
-        // Sample per-(im,kk) A-step and per-(kk,jn) B-step non-zero counts.
-        let a_density = 1.0 - spec.a_sparsity;
-        let b_density = 1.0 - spec.b_sparsity;
-        // With clustering `q`, a fraction `q` of condensed vectors is empty
-        // and the survivors carry the non-zeros at density `d / (1 - q)`,
-        // preserving the overall sparsity (paper Fig. 6's uneven case).
-        let sample_counts = |rng: &mut StdRng,
-                             vec_len: usize,
-                             steps: usize,
-                             density: f64,
-                             clustering: f64|
-         -> Vec<u16> {
-            let boosted = (density / (1.0 - clustering)).min(1.0);
-            (0..steps)
-                .map(|_| {
-                    if clustering > 0.0 && rng.random_bool(clustering) {
-                        0
-                    } else {
-                        sample_binomial(rng, vec_len, boosted)
-                    }
-                })
-                .collect()
-        };
-        let mut a_counts: Vec<Vec<u16>> = Vec::with_capacity(grid_m * grid_k);
-        for im in 0..grid_m {
-            let rows = wm.min(shape.m - im * wm);
-            for kk in 0..grid_k {
-                let steps = wk.min(shape.k - kk * wk);
-                a_counts.push(sample_counts(&mut rng, rows, steps, a_density, spec.a_clustering));
-            }
-        }
-        let mut b_counts: Vec<Vec<u16>> = Vec::with_capacity(grid_k * grid_n);
-        for kk in 0..grid_k {
-            let steps = wk.min(shape.k - kk * wk);
-            for jn in 0..grid_n {
-                let cols = wn.min(shape.n - jn * wn);
-                // One count per step; each counts non-zeros across `cols`.
-                b_counts.push(sample_counts(&mut rng, cols, steps, b_density, spec.b_clustering));
-            }
-        }
-
-        // Lookup table of step costs indexed by (a_nnz, b_nnz).
-        let table: Vec<OtcStepCost> = (0..=warp_dim)
-            .flat_map(|a| (0..=warp_dim).map(move |b| (a, b)))
-            .map(|(a, b)| OtcStepCost::for_vectors(a, b, warp_dim, otc))
-            .collect();
-        let step_cost =
-            |a: u16, b: u16| -> &OtcStepCost { &table[a as usize * (warp_dim + 1) + b as usize] };
-
-        let buffer = AccumulationBuffer::from_otc(otc);
-        let conflict_factor = buffer.conflict_factor_estimate(16, self.options.operand_collector);
+        let full_grid_m = shape.m.div_ceil(self.tiling.warp_m);
+        let tiles = SampledTiles::sample(spec, &self.tiling, max_m_tiles);
+        let (grid_m, grid_n, grid_k) = (tiles.grid_m, tiles.grid_n, tiles.grid_k);
+        let t = tally(&tiles, &StepPricing::new(&self.config, &self.tiling, self.options));
 
         let mut profile = WorkloadProfile::new(format!("bitmap-spgemm-synthetic-{shape}"));
+        profile.ohmma_instructions = t.ohmma;
+        profile.bohmma_instructions = t.bohmma;
+        profile.popc_instructions = t.popc;
+        profile.merge_cycles = t.merge;
+        profile.accum_conflict_cycles = t.conflict;
+        profile.scalar_ops = t.scalar_ops;
+        let mut partial_nnz_total = t.partial_nnz;
         let mut stats = SpGemmStats {
+            skipped_warp_tiles: t.skipped_tiles,
             total_warp_tiles: (full_grid_m * grid_n * grid_k) as u64,
-            ..Default::default()
+            skipped_ohmma: t.skipped_ohmma,
+            dense_ohmma: t.dense_ohmma,
         };
-        let mut partial_nnz_total = 0u64;
-        let dense_per_step = OtcStepCost::dense_ohmma_count(warp_dim, otc);
-
-        for im in 0..grid_m {
-            for kk in 0..grid_k {
-                let a_steps = &a_counts[im * grid_k + kk];
-                let a_empty = a_steps.iter().all(|&c| c == 0);
-                for jn in 0..grid_n {
-                    let b_steps = &b_counts[kk * grid_n + jn];
-                    stats.dense_ohmma += dense_per_step * a_steps.len() as u64;
-                    if self.options.two_level && (a_empty || b_steps.iter().all(|&c| c == 0)) {
-                        stats.skipped_warp_tiles += 1;
-                        profile.scalar_ops += 1;
-                        continue;
-                    }
-                    let mut merge = 0u64;
-                    for (&a, &b) in a_steps.iter().zip(b_steps) {
-                        let c = step_cost(a, b);
-                        profile.ohmma_instructions += c.ohmma_issued;
-                        profile.bohmma_instructions += c.bohmma;
-                        profile.popc_instructions += c.popc;
-                        merge += c.merge_cycles;
-                        partial_nnz_total += c.partial_nnz;
-                        stats.skipped_ohmma += c.ohmma_skipped;
-                    }
-                    profile.merge_cycles += merge;
-                    profile.accum_conflict_cycles +=
-                        ((conflict_factor - 1.0) * merge as f64).round() as u64;
-                    profile.scalar_ops += 32;
-                }
-            }
-        }
 
         // Scale the sampled compute-side events to the full M grid; the
         // memory-side quantities below are analytic over the full shape.
@@ -529,8 +484,8 @@ impl BitmapSpGemm {
         }
 
         // Encoded operand footprints (values + element bitmap + warp bitmap).
-        let a_nnz = ((shape.m * shape.k) as f64 * a_density) as u64;
-        let b_nnz = ((shape.k * shape.n) as f64 * b_density) as u64;
+        let a_nnz = ((shape.m * shape.k) as f64 * (1.0 - spec.a_sparsity)) as u64;
+        let b_nnz = ((shape.k * shape.n) as f64 * (1.0 - spec.b_sparsity)) as u64;
         let a_bytes = spec.a_bytes_override.unwrap_or(
             a_nnz * 2
                 + ((shape.m * shape.k) as u64).div_ceil(8)
@@ -687,6 +642,262 @@ impl BitmapSpGemm {
         let out = self.execute_encoded(&self.encode_a(a), &self.encode_b(b));
         let profile = self.profile(a, b);
         (out, profile)
+    }
+}
+
+/// Sampled per-step non-zero counts of a synthetic GEMM's warp tiles: one
+/// row of `stride` (= `warp_k`) counts per tile, of which the first
+/// `steps(kk)` are used (the last k-slice may be shorter).
+struct SampledTiles {
+    /// Sampled M tile rows (possibly fewer than the full grid).
+    grid_m: usize,
+    grid_n: usize,
+    grid_k: usize,
+    k: usize,
+    stride: usize,
+    /// A tiles in `(im, kk)` order.
+    a: Vec<u16>,
+    /// B tiles in `(kk, jn)` order.
+    b: Vec<u16>,
+}
+
+/// Compute-side event sums over the sampled warp-tile grid.
+#[derive(Debug, Default)]
+struct ComputeTally {
+    ohmma: u64,
+    bohmma: u64,
+    popc: u64,
+    merge: u64,
+    conflict: u64,
+    scalar_ops: u64,
+    partial_nnz: u64,
+    skipped_tiles: u64,
+    skipped_ohmma: u64,
+    dense_ohmma: u64,
+}
+
+/// Everything a tally needs to price one warp-tile step.
+struct StepPricing {
+    /// `warp_dim + 1`: the side of the square step-cost table.
+    side: usize,
+    /// Step costs indexed by `a_nnz * side + b_nnz`.
+    costs: Vec<OtcStepCost>,
+    dense_per_step: u64,
+    conflict_factor: f64,
+    two_level: bool,
+}
+
+impl StepPricing {
+    fn new(config: &GpuConfig, tiling: &GemmTiling, options: BitmapSpGemmOptions) -> Self {
+        let otc = &config.otc;
+        let warp_dim = tiling.warp_m.max(tiling.warp_n);
+        let costs = (0..=warp_dim)
+            .flat_map(|a| (0..=warp_dim).map(move |b| (a, b)))
+            .map(|(a, b)| OtcStepCost::for_vectors(a, b, warp_dim, otc))
+            .collect();
+        let buffer = AccumulationBuffer::from_otc(otc);
+        StepPricing {
+            side: warp_dim + 1,
+            costs,
+            dense_per_step: OtcStepCost::dense_ohmma_count(warp_dim, otc),
+            conflict_factor: buffer.conflict_factor_estimate(16, options.operand_collector),
+            two_level: options.two_level,
+        }
+    }
+
+    fn cost(&self, a: u16, b: u16) -> &OtcStepCost {
+        &self.costs[a as usize * self.side + b as usize]
+    }
+
+    /// Bank-conflict cycles of one warp tile with `merge` merge cycles.
+    fn conflict(&self, merge: u64) -> u64 {
+        ((self.conflict_factor - 1.0) * merge as f64).round() as u64
+    }
+}
+
+impl SampledTiles {
+    /// Samples per-(im,kk) A-step and per-(kk,jn) B-step non-zero counts
+    /// for at most `max_m_tiles` tile rows, in a fixed draw order.
+    fn sample(spec: &SyntheticGemmSpec, tiling: &GemmTiling, max_m_tiles: usize) -> Self {
+        let shape = spec.shape;
+        let (wm, wn, wk) = (tiling.warp_m, tiling.warp_n, tiling.warp_k);
+        let grid_m = shape.m.div_ceil(wm).min(max_m_tiles);
+        let grid_n = shape.n.div_ceil(wn);
+        let grid_k = shape.k.div_ceil(wk);
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let a_density = 1.0 - spec.a_sparsity;
+        let b_density = 1.0 - spec.b_sparsity;
+        // With clustering `q`, a fraction `q` of condensed vectors is empty
+        // and the survivors carry the non-zeros at density `d / (1 - q)`,
+        // preserving the overall sparsity (paper Fig. 6's uneven case).
+        let sample_counts =
+            |rng: &mut StdRng, out: &mut [u16], vec_len: usize, density: f64, clustering: f64| {
+                let boosted = (density / (1.0 - clustering)).min(1.0);
+                for count in out {
+                    *count = if clustering > 0.0 && rng.random_bool(clustering) {
+                        0
+                    } else {
+                        sample_binomial(rng, vec_len, boosted)
+                    };
+                }
+            };
+        let mut tiles = SampledTiles {
+            grid_m,
+            grid_n,
+            grid_k,
+            k: shape.k,
+            stride: wk,
+            a: vec![0; grid_m * grid_k * wk],
+            b: vec![0; grid_k * grid_n * wk],
+        };
+        for im in 0..grid_m {
+            let rows = wm.min(shape.m - im * wm);
+            for kk in 0..grid_k {
+                let steps = tiles.steps(kk);
+                let out = &mut tiles.a[(im * grid_k + kk) * wk..][..steps];
+                sample_counts(&mut rng, out, rows, a_density, spec.a_clustering);
+            }
+        }
+        for kk in 0..grid_k {
+            let steps = tiles.steps(kk);
+            for jn in 0..grid_n {
+                // One count per step; each counts non-zeros across `cols`.
+                let cols = wn.min(shape.n - jn * wn);
+                let out = &mut tiles.b[(kk * grid_n + jn) * wk..][..steps];
+                sample_counts(&mut rng, out, cols, b_density, spec.b_clustering);
+            }
+        }
+        tiles
+    }
+
+    /// Steps of k-slice `kk`.
+    fn steps(&self, kk: usize) -> usize {
+        self.stride.min(self.k - kk * self.stride)
+    }
+
+    /// The step counts of the A tile at `(im, kk)`.
+    fn a_tile(&self, im: usize, kk: usize) -> &[u16] {
+        &self.a[(im * self.grid_k + kk) * self.stride..][..self.steps(kk)]
+    }
+
+    /// The step counts of the B tile at `(kk, jn)`.
+    fn b_tile(&self, kk: usize, jn: usize) -> &[u16] {
+        &self.b[(kk * self.grid_n + jn) * self.stride..][..self.steps(kk)]
+    }
+
+    /// Sums the step costs through per-step count histograms (see
+    /// [`BitmapSpGemm::profile_synthetic`]).
+    fn tally(&self, p: &StepPricing) -> ComputeTally {
+        let side = p.side;
+        let mut t = ComputeTally::default();
+        let pairs = (self.grid_m * self.grid_n) as u64;
+        let mut h_a = vec![0u64; self.stride * side];
+        let mut h_b = vec![0u64; self.stride * side];
+        let mut live_b_bins: Vec<(usize, u64)> = Vec::with_capacity(side);
+        let mut live_a_tiles = Vec::with_capacity(self.grid_m);
+        let mut live_b_tiles = Vec::with_capacity(self.grid_n);
+        for kk in 0..self.grid_k {
+            let steps = self.steps(kk);
+            live_a_tiles.clear();
+            live_a_tiles.extend(
+                (0..self.grid_m).map(|im| self.a_tile(im, kk)).filter(|c| is_live(c, p.two_level)),
+            );
+            live_b_tiles.clear();
+            live_b_tiles.extend(
+                (0..self.grid_n).map(|jn| self.b_tile(kk, jn)).filter(|c| is_live(c, p.two_level)),
+            );
+            histogram(&live_a_tiles, side, &mut h_a);
+            histogram(&live_b_tiles, side, &mut h_b);
+
+            let live = (live_a_tiles.len() * live_b_tiles.len()) as u64;
+            t.skipped_tiles += pairs - live;
+            t.scalar_ops += (pairs - live) + 32 * live; // warp-bitmap checks, address generation
+            t.dense_ohmma += p.dense_per_step * steps as u64 * pairs;
+            for s in 0..steps {
+                let row_a = &h_a[s * side..][..side];
+                let row_b = &h_b[s * side..][..side];
+                live_b_bins.clear();
+                live_b_bins.extend(row_b.iter().copied().enumerate().filter(|&(_, n)| n > 0));
+                for (a, &n_a) in row_a.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                    let costs = &p.costs[a * side..][..side];
+                    for &(b, n_b) in &live_b_bins {
+                        let (w, c) = (n_a * n_b, &costs[b]);
+                        t.ohmma += w * c.ohmma_issued;
+                        t.bohmma += w * c.bohmma;
+                        t.popc += w * c.popc;
+                        t.merge += w * c.merge_cycles;
+                        t.partial_nnz += w * c.partial_nnz;
+                        t.skipped_ohmma += w * c.ohmma_skipped;
+                    }
+                }
+            }
+
+            // Bank conflicts are rounded per tile, which does not factor
+            // through the histograms. A conflict factor of exactly 1 (the
+            // operand collector on) adds none, so only the collector-off
+            // ablation sums them tile by tile.
+            if p.conflict_factor != 1.0 {
+                for a_steps in &live_a_tiles {
+                    for b_steps in &live_b_tiles {
+                        let merge =
+                            a_steps.iter().zip(*b_steps).map(|(&a, &b)| p.cost(a, b).merge_cycles);
+                        t.conflict += p.conflict(merge.sum());
+                    }
+                }
+            }
+        }
+        t
+    }
+
+    /// Sums the step costs warp tile by warp tile.
+    #[cfg(test)]
+    fn tally_per_tile(&self, p: &StepPricing) -> ComputeTally {
+        let mut t = ComputeTally::default();
+        for im in 0..self.grid_m {
+            for kk in 0..self.grid_k {
+                let a_steps = self.a_tile(im, kk);
+                for jn in 0..self.grid_n {
+                    let b_steps = self.b_tile(kk, jn);
+                    t.dense_ohmma += p.dense_per_step * a_steps.len() as u64;
+                    if !is_live(a_steps, p.two_level) || !is_live(b_steps, p.two_level) {
+                        t.skipped_tiles += 1;
+                        t.scalar_ops += 1;
+                        continue;
+                    }
+                    let mut merge = 0u64;
+                    for (&a, &b) in a_steps.iter().zip(b_steps) {
+                        let c = p.cost(a, b);
+                        t.ohmma += c.ohmma_issued;
+                        t.bohmma += c.bohmma;
+                        t.popc += c.popc;
+                        merge += c.merge_cycles;
+                        t.partial_nnz += c.partial_nnz;
+                        t.skipped_ohmma += c.ohmma_skipped;
+                    }
+                    t.merge += merge;
+                    t.conflict += p.conflict(merge);
+                    t.scalar_ops += 32;
+                }
+            }
+        }
+        t
+    }
+}
+
+/// Whether a tile is swept: with the two-level encoding, only tiles with a
+/// non-zero somewhere; with the one-level encoding, every tile.
+fn is_live(steps: &[u16], two_level: bool) -> bool {
+    !two_level || steps.iter().any(|&c| c != 0)
+}
+
+/// Fills `hist[s * side + c]` with how many of `tiles` have count `c` at
+/// step `s`.
+fn histogram(tiles: &[&[u16]], side: usize, hist: &mut [u64]) {
+    hist.fill(0);
+    for steps in tiles {
+        for (s, &c) in steps.iter().enumerate() {
+            hist[s * side + c as usize] += 1;
+        }
     }
 }
 
@@ -1089,6 +1300,44 @@ mod tests {
             let word = k.execute_encoded(&a_enc, &b_enc);
             let scalar = k.execute_encoded_scalar(&a_enc, &b_enc);
             proptest::prop_assert_eq!(word, scalar);
+        }
+
+        // Differential property: the histogram-factorised synthetic profile
+        // equals the per-tile reference sum field for field, across the
+        // device presets' native tilings, every option combination, ragged
+        // shapes, sampling caps and clustered operands.
+        #[test]
+        fn histogram_and_per_tile_profiles_agree_exactly(
+            seed in proptest::any::<u64>(),
+            m in 1usize..=300,
+            kd in 1usize..=150,
+            n in 1usize..=150,
+            sa_idx in 0usize..6,
+            sb_idx in 0usize..6,
+            gpu_idx in 0usize..3,
+            options_idx in 0usize..4,
+            cap_idx in 0usize..4,
+            clustered in proptest::any::<bool>(),
+        ) {
+            const SPARSITIES: [f64; 6] = [0.0, 0.3, 0.75, 0.95, 0.999, 1.0];
+            const CAPS: [usize; 4] = [1, 3, 64, usize::MAX];
+            let gpu = [GpuConfig::v100(), GpuConfig::a100(), GpuConfig::tiny()][gpu_idx].clone();
+            let options = BitmapSpGemmOptions {
+                operand_collector: options_idx & 1 == 0,
+                two_level: options_idx & 2 == 0,
+            };
+            let k = BitmapSpGemm::for_device(gpu).with_options(options);
+            let (sa, sb) = (SPARSITIES[sa_idx], SPARSITIES[sb_idx]);
+            let mut spec = SyntheticGemmSpec::new(GemmShape::new(m, n, kd), sa, sb, seed);
+            if clustered {
+                // As clustered as each operand's density allows, capped at 0.6.
+                spec = spec.with_clustering(sa.min(0.6), sb.min(0.6));
+            }
+            let cap = CAPS[cap_idx];
+            proptest::prop_assert_eq!(
+                k.profile_synthetic_capped(&spec, cap),
+                k.profile_synthetic_per_tile(&spec, cap)
+            );
         }
     }
 

@@ -1,13 +1,16 @@
 //! Completion-time-aware batch-to-device dispatch.
 //!
-//! Every device in the pool carries its own [`BatchTimingModel`] and a
-//! modelled clock: the instant (in modelled microseconds since server
-//! start) at which the work already assigned to it will have finished.
-//! Assigning a batch prices it on each candidate device and routes it to
-//! the one that would **complete** it first — so a slower V100 still
-//! absorbs traffic whenever the faster A100's backlog outweighs its speed
-//! advantage, and the pool's modelled makespan stays near the optimum a
-//! greedy list scheduler can reach. A round-robin policy is kept as the
+//! Every device in the pool has a [`BatchTimingModel`] and a modelled
+//! clock: the instant (in modelled microseconds since server start) at
+//! which the work already assigned to it will have finished. Devices with
+//! equal [`dsstc_sim::GpuConfig`]s share one timing model, since a price
+//! depends only on the configuration, the model key and the batch bucket;
+//! a homogeneous pool therefore prices each bucket once. The clocks stay
+//! per device. Assigning a batch prices it on each candidate device and
+//! routes it to the one that would **complete** it first — so a slower
+//! V100 still absorbs traffic whenever the faster A100's backlog outweighs
+//! its speed advantage, and the pool's modelled makespan stays near the
+//! optimum a greedy list scheduler can reach. A round-robin policy is kept as the
 //! baseline the benchmarks compare against.
 
 use std::sync::{Arc, Mutex};
@@ -64,7 +67,10 @@ struct DispatchState {
 /// Routes batches onto a (possibly heterogeneous) device pool.
 #[derive(Debug)]
 pub struct DeviceDispatcher {
+    /// Per-device timing models; devices with equal configs share one.
     timings: Vec<Arc<BatchTimingModel>>,
+    /// The distinct timing models, in order of first use in the pool.
+    models: Vec<Arc<BatchTimingModel>>,
     names: Vec<String>,
     specs: Vec<EncodingSpec>,
     policy: DispatchPolicy,
@@ -72,14 +78,28 @@ pub struct DeviceDispatcher {
 }
 
 impl DeviceDispatcher {
-    /// Builds one timing model (and one encoding spec — the device's native
-    /// tiling) per pooled device.
+    /// Builds one timing model per distinct device configuration (shared
+    /// by every device with that configuration) and one encoding spec — the
+    /// device's native tiling — per pooled device.
     pub fn new(pool: &DevicePool, policy: DispatchPolicy) -> Self {
-        let timings =
-            pool.devices().iter().map(|d| Arc::new(BatchTimingModel::new(d.clone()))).collect();
-        let specs = pool.devices().iter().map(EncodingSpec::for_gpu).collect();
+        let devices = pool.devices();
+        let mut timings: Vec<Arc<BatchTimingModel>> = Vec::with_capacity(devices.len());
+        let mut models = Vec::new();
+        for (i, gpu) in devices.iter().enumerate() {
+            let timing = match devices[..i].iter().position(|earlier| earlier == gpu) {
+                Some(earlier) => Arc::clone(&timings[earlier]),
+                None => {
+                    let model = Arc::new(BatchTimingModel::new(gpu.clone()));
+                    models.push(Arc::clone(&model));
+                    model
+                }
+            };
+            timings.push(timing);
+        }
+        let specs = devices.iter().map(EncodingSpec::for_gpu).collect();
         DeviceDispatcher {
             timings,
+            models,
             names: pool.names(),
             specs,
             policy,
@@ -107,7 +127,8 @@ impl DeviceDispatcher {
         self.policy
     }
 
-    /// The timing model of one device.
+    /// The timing model of one device (shared with every other device of
+    /// the same configuration).
     ///
     /// # Panics
     /// Panics if `device` is out of range.
@@ -216,10 +237,10 @@ impl DeviceDispatcher {
     /// for turning queue depth into projected queue delay. Same pricing as
     /// [`Self::plan`] — timing caches first, the key's layer table for
     /// cold buckets — so the admission decision is deterministic and never
-    /// consults a wall clock.
+    /// consults a wall clock. Each distinct timing model is consulted once.
     pub fn unit_cost_us(&self, key: ModelKey) -> f64 {
         let mut network = None;
-        self.timings
+        self.models
             .iter()
             .map(|timing| {
                 timing.cached_batched_us(key, 1).unwrap_or_else(|| {
@@ -230,10 +251,11 @@ impl DeviceDispatcher {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Aggregate timing-cache hit rate across the pool's models.
+    /// Aggregate timing-cache hit rate across the pool's distinct models
+    /// (a model shared by several devices counts once).
     pub fn timing_hit_rate(&self) -> f64 {
-        let hits: u64 = self.timings.iter().map(|t| t.hit_count()).sum();
-        let misses: u64 = self.timings.iter().map(|t| t.miss_count()).sum();
+        let hits: u64 = self.models.iter().map(|t| t.hit_count()).sum();
+        let misses: u64 = self.models.iter().map(|t| t.miss_count()).sum();
         if hits + misses == 0 {
             0.0
         } else {
@@ -263,6 +285,23 @@ mod tests {
         assert_eq!(d.spec(1).tiling, GpuConfig::a100().native_tiling());
         assert_ne!(d.spec(0), d.spec(1), "heterogeneous devices carry distinct encodings");
         assert_eq!(d.specs().len(), d.len());
+        assert!(!Arc::ptr_eq(d.timing(0), d.timing(1)), "distinct configs, distinct models");
+    }
+
+    #[test]
+    fn equal_configs_share_one_timing_model_but_keep_their_own_clocks() {
+        let pool = DevicePool::homogeneous(GpuConfig::v100(), 3);
+        let d = DeviceDispatcher::new(&pool, DispatchPolicy::MinCompletionTime);
+        assert!(Arc::ptr_eq(d.timing(0), d.timing(1)) && Arc::ptr_eq(d.timing(1), d.timing(2)));
+        let key = bert();
+        let unit = d.unit_cost_us(key);
+        assert_eq!((d.timing(0).hit_count(), d.timing(0).miss_count()), (0, 1), "priced once");
+        assert_eq!(d.unit_cost_us(key), unit);
+        assert_eq!(d.timing(0).hit_count(), 1, "the shared model is consulted once per call");
+        assert!((d.timing_hit_rate() - 0.5).abs() < 1e-12, "the shared model counts once");
+        // One shared price, three clocks: the idle devices take turns.
+        let devices: Vec<usize> = (0..3).map(|_| d.assign(key, 2).device).collect();
+        assert_eq!(devices, vec![0, 1, 2]);
     }
 
     #[test]

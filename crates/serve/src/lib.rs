@@ -25,8 +25,8 @@
 //! * [`DeviceDispatcher`] — routes every released batch onto a
 //!   [`DevicePool`] of (possibly heterogeneous) modelled GPUs — e.g. V100s
 //!   next to A100s — picking the device that minimises **modelled completion
-//!   time** via per-device [`BatchTimingModel`]s (round-robin is kept as the
-//!   baseline policy).
+//!   time** via [`BatchTimingModel`]s, one per distinct device
+//!   configuration (round-robin is kept as the baseline policy).
 //! * [`WorkerPool`] — one pinned OS worker per device executing its batches
 //!   on that device's **own** dual-side SpGEMM kernel against the encoding
 //!   cached for its tiling, so heterogeneous devices coexist functionally;

@@ -169,22 +169,29 @@ impl InferenceServer {
     /// Warm-up: loads, prunes and pre-encodes `model` at `weight_sparsity`
     /// for **every distinct device encoding in the pool** (restoring from
     /// the persistent store when possible) and pre-prices every batch
-    /// bucket on every pooled device, so no live request pays the one-time
-    /// encode or pricing cost. Returns the total milliseconds spent
-    /// obtaining the artifacts (zero-ish when everything was already
-    /// cached; disk restores cost a fraction of a fresh encode).
+    /// bucket on every distinct timing model (one per distinct device
+    /// configuration), so no live request pays the one-time encode or
+    /// pricing cost. Returns the total milliseconds spent obtaining the
+    /// artifacts (zero-ish when everything was already cached; disk
+    /// restores cost a fraction of a fresh encode).
     pub fn warm_model(&self, model: crate::ModelId, weight_sparsity: Option<f64>) -> f64 {
         let key = crate::ModelKey::new(model, weight_sparsity);
+        let dispatcher = &self.context.dispatcher;
         let mut warmed: Vec<crate::EncodingSpec> = Vec::new();
+        let mut priced: Vec<&Arc<crate::BatchTimingModel>> = Vec::new();
         let mut total_ms = 0.0;
-        for device in 0..self.context.dispatcher.len() {
-            let spec = self.context.dispatcher.spec(device);
+        for device in 0..dispatcher.len() {
+            let spec = dispatcher.spec(device);
             let encoded = self.context.repository.get_for(key, spec);
             if !warmed.contains(&spec) {
                 warmed.push(spec);
                 total_ms += encoded.encode_ms;
             }
-            self.context.dispatcher.timing(device).warm(&encoded, self.config.max_batch);
+            let timing = dispatcher.timing(device);
+            if !priced.iter().any(|seen| Arc::ptr_eq(seen, timing)) {
+                priced.push(timing);
+                timing.warm(&encoded, self.config.max_batch);
+            }
         }
         total_ms
     }
@@ -561,5 +568,22 @@ mod tests {
         assert_eq!(stats.per_device[1].name, "A100");
         let executed: u64 = stats.per_device.iter().map(|d| d.batches).sum();
         assert_eq!(executed, stats.executed_batches);
+        let dispatcher = server.dispatcher();
+        assert!(!Arc::ptr_eq(dispatcher.timing(0), dispatcher.timing(1)), "two timing models");
+    }
+
+    #[test]
+    fn homogeneous_pool_prices_each_bucket_once() {
+        // The default pool is two identical V100s: they share one timing
+        // model, so warming BERT up to max_batch 8 prices buckets 1, 2, 4
+        // and 8 once in total, and warm-up itself records no cache hits.
+        let server = InferenceServer::start(ServeConfig::default().with_proxy_dim(32));
+        assert_eq!(server.config().max_batch, 8);
+        server.warm_model(ModelId::BertBase, None);
+        let dispatcher = server.dispatcher();
+        assert_eq!(dispatcher.len(), 2);
+        assert!(Arc::ptr_eq(dispatcher.timing(0), dispatcher.timing(1)));
+        assert_eq!(dispatcher.timing(0).miss_count(), 4);
+        assert_eq!(dispatcher.timing_hit_rate(), 0.0);
     }
 }
